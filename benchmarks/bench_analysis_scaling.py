@@ -5,8 +5,7 @@ RSN size").
 Benchmarks the three pipeline stages separately on generated MBIST-style
 networks of growing size, plus the O(N) aggregate analysis against the
 O(N^2) explicit reference on a small network (the ablation justifying the
-hierarchical computation of Sec. IV-C), plus the serial vs. parallel
-criticality engine.
+hierarchical computation of Sec. IV-C), plus the criticality engine.
 
 Run as a script to (re)write the perf baseline consumed by later PRs::
 
@@ -80,19 +79,16 @@ def test_fast_analysis_scaling(benchmark, n_segments, n_muxes):
     )
 
 
-@pytest.mark.parametrize("jobs", [0, 2])
-def test_engine_scaling(benchmark, jobs):
-    """The criticality engine, serial vs. a 2-worker pool, on the largest
-    generated design (the engine ablation behind BENCH_criticality.json)."""
+def test_engine_scaling(benchmark):
+    """The criticality engine on the largest generated design (the
+    engine row behind BENCH_criticality.json)."""
     n_segments, n_muxes = SIZES[-1]
     network = elaborate(mbist_network(n_segments, n_muxes, seed=0))
     spec = spec_for_network(network, seed=0)
     tree = decompose(network)
 
     def run():
-        engine = CriticalityEngine(
-            network, spec, tree=tree, jobs=jobs, min_parallel_primitives=1
-        )
+        engine = CriticalityEngine(network, spec, tree=tree)
         return engine, engine.report()
 
     engine, report = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -101,7 +97,6 @@ def test_engine_scaling(benchmark, jobs):
         {
             "n_segments": n_segments,
             "n_muxes": n_muxes,
-            "jobs": jobs,
             "engine_stats": engine.stats.as_dict(),
         }
     )
@@ -127,17 +122,10 @@ def test_fast_vs_explicit_analysis(benchmark, method):
 # ---------------------------------------------------------------------------
 # baseline writer (results/BENCH_criticality.json)
 # ---------------------------------------------------------------------------
-def _time_engine(network, spec, tree, method, jobs):
+def _time_engine(network, spec, tree, method):
     """One engine run; returns its stats dict plus wall seconds."""
     started = time.perf_counter()
-    engine = CriticalityEngine(
-        network,
-        spec,
-        tree=tree,
-        method=method,
-        jobs=jobs,
-        min_parallel_primitives=1,
-    )
+    engine = CriticalityEngine(network, spec, tree=tree, method=method)
     report = engine.report()
     elapsed = time.perf_counter() - started
     stats = engine.stats.as_dict()
@@ -147,15 +135,15 @@ def _time_engine(network, spec, tree, method, jobs):
 
 
 def write_baseline(output: str, quick: bool = False) -> dict:
-    """Measure serial vs. parallel faults/s per design and dump JSON.
+    """Measure the engine's faults/s per design and dump JSON.
 
     The record is the perf trajectory later PRs compare against; `quick`
     drops the largest design for CI sanity passes.
     """
     sizes = SIZES[:-1] if quick else SIZES
     runs = [("fast", n_seg, n_mux) for n_seg, n_mux in sizes]
-    # The explicit O(N^2) reference is where per-fault cost is high enough
-    # for the pool to pay off; keep it to the sizes that finish in seconds.
+    # The explicit O(N^2) reference: keep it to the sizes that finish in
+    # seconds.
     runs.append(("explicit", *SIZES[0]))
     if not quick:
         runs.append(("explicit", *SIZES[1]))
@@ -165,13 +153,7 @@ def write_baseline(output: str, quick: bool = False) -> dict:
         network = elaborate(mbist_network(n_segments, n_muxes, seed=0))
         spec = spec_for_network(network, seed=0)
         tree = decompose(network)
-        serial = _time_engine(network, spec, tree, method, jobs=0)
-        parallel = _time_engine(network, spec, tree, method, jobs=2)
-        speedup = (
-            serial["wall_seconds"] / parallel["wall_seconds"]
-            if parallel["wall_seconds"] > 0
-            else 0.0
-        )
+        serial = _time_engine(network, spec, tree, method)
         entry = {
             "design": f"mbist_{n_segments}_{n_muxes}",
             "method": method,
@@ -182,21 +164,12 @@ def write_baseline(output: str, quick: bool = False) -> dict:
                 "seconds": serial["wall_seconds"],
                 "faults_per_second": serial["faults_per_second"],
             },
-            "parallel": {
-                "jobs": 2,
-                "seconds": parallel["wall_seconds"],
-                "faults_per_second": parallel["faults_per_second"],
-                "worker_utilization": parallel["worker_utilization"],
-                "fallback": parallel["parallel_fallback"],
-            },
-            "speedup": speedup,
         }
         designs.append(entry)
         print(
             f"{entry['design']:18s} {method:8s} "
-            f"serial {serial['wall_seconds']:.3f}s, "
-            f"parallel {parallel['wall_seconds']:.3f}s, "
-            f"speedup {speedup:.2f}x",
+            f"{serial['wall_seconds']:.3f}s "
+            f"({serial['faults_per_second']:,.0f} faults/s)",
             flush=True,
         )
 
@@ -210,13 +183,9 @@ def write_baseline(output: str, quick: bool = False) -> dict:
         },
         "designs": designs,
         "notes": (
-            "Serial vs. 2-worker CriticalityEngine on generated MBIST "
-            "networks.  Speedups below 1.0 on a single-CPU host are "
-            "expected: the workers time-share one core and the fast "
-            "method's O(N) preprocessing dominates its per-fault cost, "
-            "so pool start-up is pure overhead there.  The parallel path "
-            "pays off for the per-fault-heavy explicit/graph methods on "
-            "multi-core hosts."
+            "CriticalityEngine wall time and faults/s on generated "
+            "MBIST networks (tree pre-built outside the timer, no "
+            "cache)."
         ),
     }
     os.makedirs(os.path.dirname(output) or ".", exist_ok=True)

@@ -1,4 +1,4 @@
-"""Concurrent /damage load on the analysis service, both front-ends.
+"""Concurrent /damage load on the sharded analysis service.
 
 The service exists to turn many small concurrent fault queries into few
 lane-packed kernel sweeps (PR 5's coalescer) and, since the sharded
@@ -9,19 +9,13 @@ records what a client actually experiences under that load:
    direct in-process :class:`GraphDamageAnalysis` damage vector; a
    single diverging float aborts the benchmark before any timing is
    recorded;
-2. **threaded/in-process** — the PR 5 stack: ``ThreadingHTTPServer``
-   front-end, coalesced batches solved on the dispatcher thread in the
-   server process;
-3. **sharded/async** — the asyncio front-end dispatching coalesced
-   batches to worker processes over shared-memory-shipped IR.
+2. **sharded** — the asyncio front-end dispatching coalesced batches to
+   worker processes over shared-memory-shipped IR.
 
-Per design and stack: p50/p99 request latency, throughput, batch
-occupancy (requests per kernel dispatch), and the peak per-shard queue
-depth sampled during the run.  On a single-core container the sharded
-stack's advantage is bounded by the lack of parallel hardware — the
-recorded ``cpus`` field is how a reader (and the regression gate)
-contextualizes the numbers; the >= 2x acceptance point is expected on
-multi-core runners.
+Per design: p50/p99 request latency, throughput, batch occupancy
+(requests per kernel dispatch), and the peak per-shard queue depth
+sampled during the run.  The recorded ``cpus`` field is how a reader
+(and the regression gate) contextualizes the numbers.
 
 Run as a script to (re)write the baseline consumed by ``bench-diff``::
 
@@ -43,8 +37,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from repro.analysis import GraphDamageAnalysis
 from repro.analysis.faults import iter_all_faults
 from repro.bench import build_design
@@ -53,7 +45,6 @@ from repro.service import (
     AnalysisService,
     AsyncServerThread,
     ServiceClient,
-    make_server,
 )
 from repro.spec import spec_for_network
 
@@ -97,41 +88,24 @@ def _parse_histogram_mean(metrics_text, name):
 
 
 class _Stack:
-    """One bootable service + HTTP front-end combination."""
+    """One bootable sharded service behind the asyncio front-end."""
 
-    def __init__(self, flavor, workers, shards, batch_window):
-        self.flavor = flavor
+    def __init__(self, workers, shards, batch_window):
         self._tmp = tempfile.TemporaryDirectory(prefix="repro-bench-svc-")
-        kwargs = dict(
+        self.service = AnalysisService(
             cache_dir=self._tmp.name,
             workers=2,
             batch_window=batch_window,
+            shard_workers=workers,
+            shards=shards,
         )
-        if flavor == "sharded":
-            kwargs.update(shard_workers=workers, shards=shards)
-        self.service = AnalysisService(**kwargs)
-        if flavor == "sharded":
-            self._aserver = AsyncServerThread(
-                self.service, host="127.0.0.1", port=0
-            )
-            self.url = self._aserver.url
-            self._httpd = None
-        else:
-            self._httpd = make_server(self.service, port=0)
-            host, port = self._httpd.server_address[:2]
-            self.url = f"http://{host}:{port}"
-            self._serve_thread = threading.Thread(
-                target=self._httpd.serve_forever, daemon=True
-            )
-            self._serve_thread.start()
-            self._aserver = None
+        self._aserver = AsyncServerThread(
+            self.service, host="127.0.0.1", port=0
+        )
+        self.url = self._aserver.url
 
     def close(self):
-        if self._aserver is not None:
-            self._aserver.stop()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
+        self._aserver.stop()
         self.service.close(drain=False)
         self._tmp.cleanup()
 
@@ -189,20 +163,15 @@ def run_load(
         latency = time.perf_counter() - started
         if damages != [direct[index]]:
             raise SystemExit(
-                f"{stack.flavor}: fault {index} returned {damages}, "
+                f"fault {index} returned {damages}, "
                 f"direct says {direct[index]}"
             )
         return latency
 
-    sampler = None
-    if stack.service.pool is not None:
-        sampler = _DepthSampler(stack.service.pool)
+    sampler = _DepthSampler(stack.service.pool)
     started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=concurrency) as executor:
-        if sampler is not None:
-            with sampler:
-                latencies = list(executor.map(one, plan))
-        else:
+        with sampler:
             latencies = list(executor.map(one, plan))
     wall = time.perf_counter() - started
     return {
@@ -212,9 +181,7 @@ def run_load(
         "throughput_rps": requests / wall if wall > 0 else 0.0,
         "p50_seconds": statistics.median(latencies),
         "p99_seconds": _percentile(latencies, 0.99),
-        "max_shard_queue_depth": (
-            sampler.max_depth if sampler is not None else None
-        ),
+        "max_shard_queue_depth": sampler.max_depth,
     }
 
 
@@ -241,43 +208,35 @@ def bench_design(
         "batch_window": batch_window,
         "parity": True,
     }
-    for flavor in ("threaded", "sharded"):
-        stack = _Stack(flavor, workers, shards, batch_window)
-        try:
-            client = ServiceClient(stack.url, timeout=120.0)
-            fingerprint = client.upload_network(design=name)["fingerprint"]
-            # Parity gate: the full fault universe in one request must be
-            # bit-identical to the direct vector before anything is timed.
-            if client.damage(fingerprint, faults, seed=0) != direct:
-                raise SystemExit(
-                    f"{flavor}: full-vector parity failed on {name}"
-                )
-            # Warm the kernel (and the worker-side caches) off the clock.
-            run_load(
-                stack, fingerprint, faults, direct,
-                requests=min(64, requests), concurrency=8, seed=1,
-            )
-            stats = run_load(
-                stack, fingerprint, faults, direct, requests, concurrency
-            )
-            stats["batch_occupancy_mean"] = _parse_histogram_mean(
-                client.metrics(), "repro_batch_occupancy"
-            )
-            row[flavor] = stats
-        finally:
-            stack.close()
-        print(
-            f"{name:16s} {flavor:8s}: "
-            f"p50 {row[flavor]['p50_seconds'] * 1e3:7.2f}ms  "
-            f"p99 {row[flavor]['p99_seconds'] * 1e3:7.2f}ms  "
-            f"{row[flavor]['throughput_rps']:7.1f} req/s  "
-            f"occupancy {row[flavor]['batch_occupancy_mean']:.1f}",
-            flush=True,
+    stack = _Stack(workers, shards, batch_window)
+    try:
+        client = ServiceClient(stack.url, timeout=120.0)
+        fingerprint = client.upload_network(design=name)["fingerprint"]
+        # Parity gate: the full fault universe in one request must be
+        # bit-identical to the direct vector before anything is timed.
+        if client.damage(fingerprint, faults, seed=0) != direct:
+            raise SystemExit(f"full-vector parity failed on {name}")
+        # Warm the kernel (and the worker-side caches) off the clock.
+        run_load(
+            stack, fingerprint, faults, direct,
+            requests=min(64, requests), concurrency=8, seed=1,
         )
-    row["throughput_ratio"] = (
-        row["sharded"]["throughput_rps"] / row["threaded"]["throughput_rps"]
-        if row["threaded"]["throughput_rps"] > 0
-        else 0.0
+        stats = run_load(
+            stack, fingerprint, faults, direct, requests, concurrency
+        )
+        stats["batch_occupancy_mean"] = _parse_histogram_mean(
+            client.metrics(), "repro_batch_occupancy"
+        )
+        row["sharded"] = stats
+    finally:
+        stack.close()
+    print(
+        f"{name:16s}: "
+        f"p50 {stats['p50_seconds'] * 1e3:7.2f}ms  "
+        f"p99 {stats['p99_seconds'] * 1e3:7.2f}ms  "
+        f"{stats['throughput_rps']:7.1f} req/s  "
+        f"occupancy {stats['batch_occupancy_mean']:.1f}",
+        flush=True,
     )
     return row
 
@@ -310,17 +269,12 @@ def write_service_baseline(
         },
         "designs": designs,
         "notes": (
-            "Concurrent single-fault /damage load against two service "
-            "stacks: 'threaded' is the thread-per-request HTTP server "
-            "solving coalesced batches in-process; 'sharded' is the "
-            "asyncio front-end dispatching coalesced batches to a pool "
-            "of worker processes over shared-memory-shipped compiled "
-            "IR.  Every response is verified bit-identical to a direct "
-            "GraphDamageAnalysis damage vector before and during "
-            "timing.  The sharded stack's throughput advantage scales "
-            "with host cores (see host.cpus); on a single-core "
-            "container the two stacks are expected to be comparable, "
-            "with the sharded stack paying the IPC hop."
+            "Concurrent single-fault /damage load against the "
+            "'sharded' service stack: the asyncio front-end dispatching "
+            "coalesced batches to a pool of worker processes over "
+            "shared-memory-shipped compiled IR.  Every response is "
+            "verified bit-identical to a direct GraphDamageAnalysis "
+            "damage vector before and during timing."
         ),
     }
     os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
@@ -334,8 +288,7 @@ def write_service_baseline(
 # ---------------------------------------------------------------------------
 # pytest entry points (benchmarks/ is also a pytest-benchmark suite)
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("flavor", ["threaded", "sharded"])
-def test_service_damage_load(benchmark, flavor):
+def test_service_damage_load(benchmark):
     """200 verified single-fault requests at concurrency 16."""
     name = DESIGN_NAMES[0]
     network = build_design(name)
@@ -347,7 +300,7 @@ def test_service_damage_load(benchmark, flavor):
             network, spec, backend="bitset"
         ).damage_vector(faults)
     ]
-    stack = _Stack(flavor, workers=2, shards=8, batch_window=0.005)
+    stack = _Stack(workers=2, shards=8, batch_window=0.005)
     try:
         client = ServiceClient(stack.url, timeout=120.0)
         fingerprint = client.upload_network(design=name)["fingerprint"]
@@ -360,7 +313,7 @@ def test_service_damage_load(benchmark, flavor):
             iterations=1,
         )
         benchmark.extra_info.update(
-            {"flavor": flavor, "p50_ms": stats["p50_seconds"] * 1e3}
+            {"p50_ms": stats["p50_seconds"] * 1e3}
         )
     finally:
         stack.close()

@@ -400,15 +400,10 @@ def _measure_once(hot_path: HotPath, network, spec, tree=None) -> float:
 
     if hot_path.metric.startswith("serial/"):
         # Mirror the baseline's _time_engine: tree pre-built outside the
-        # timer, serial (jobs=0), no parallel floor, no cache.
+        # timer, no cache.
         started = time.perf_counter()
         engine = CriticalityEngine(
-            network,
-            spec,
-            tree=tree,
-            method=hot_path.params["method"],
-            jobs=0,
-            min_parallel_primitives=1,
+            network, spec, tree=tree, method=hot_path.params["method"]
         )
         engine.report()
         return time.perf_counter() - started

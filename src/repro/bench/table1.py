@@ -116,7 +116,6 @@ def run_design(
     with_greedy: bool = True,
     hardenable: str = "all",
     damage_sites: str = "all",
-    jobs=None,
     cache_dir: Optional[str] = None,
     backend: str = "ir",
     chunk_lanes: int = 64,
@@ -139,7 +138,6 @@ def run_design(
         seed=seed,
         hardenable=hardenable,
         damage_sites=damage_sites,
-        jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
         chunk_lanes=chunk_lanes,

@@ -138,14 +138,7 @@ def _lane_budget_mb(text: str) -> Optional[float]:
 
 
 def _add_engine_options(parser) -> None:
-    """Shared criticality-engine flags (parallelism, cache, stats)."""
-    parser.add_argument(
-        "--jobs",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="analysis worker processes (0/1 = serial, default serial)",
-    )
+    """Shared criticality-engine flags (backend, cache, stats)."""
     parser.add_argument(
         "--backend",
         choices=["ir", "dict", "bitset"],
@@ -194,7 +187,7 @@ def _add_engine_options(parser) -> None:
         "--stats",
         action="store_true",
         help="print engine statistics (faults/s, cache and memo hit "
-        "rates, worker utilization)",
+        "rates)",
     )
 
 
@@ -219,7 +212,6 @@ def _cmd_table1(args) -> int:
         verbose=True,
         hardenable=args.hardenable,
         damage_sites=args.damage_sites,
-        jobs=args.jobs,
         cache_dir=_engine_cache_dir(args),
         backend=args.backend,
         chunk_lanes=args.chunk_lanes,
@@ -297,7 +289,6 @@ def _cmd_analyze(args) -> int:
         spec,
         method=method,
         policy=args.policy,
-        jobs=args.jobs,
         cache_dir=_engine_cache_dir(args),
         backend=args.backend,
         chunk_lanes=args.chunk_lanes,
@@ -360,7 +351,6 @@ def _cmd_harden(args) -> int:
         network,
         spec=spec,
         seed=args.seed,
-        jobs=args.jobs,
         cache_dir=_engine_cache_dir(args),
         backend=args.backend,
         chunk_lanes=args.chunk_lanes,
@@ -476,7 +466,6 @@ def _cmd_serve(args) -> int:
         workers=args.job_threads,
         batch_window=args.batch_window_ms / 1000.0,
         job_timeout=args.job_timeout,
-        engine_jobs=args.jobs,
         tracing=args.trace,
         shard_workers=args.workers,
         shards=args.shards,
@@ -486,19 +475,9 @@ def _cmd_serve(args) -> int:
         log_level=args.log_level,
         log_jsonl=args.log_json,
     )
-    frontend = args.frontend
-    if frontend == "auto":
-        # The event loop pays off exactly when requests park on worker
-        # futures; without a pool the threaded server is the simpler
-        # beast to debug.
-        frontend = "async" if args.workers else "thread"
-    if frontend == "async":
-        from .service import serve_async
+    from .service import serve_async
 
-        return serve_async(**kwargs)
-    from .service import serve
-
-    return serve(**kwargs)
+    return serve_async(**kwargs)
 
 
 _SPARK_BLOCKS = " ▁▂▃▄▅▆▇█"
@@ -1083,7 +1062,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=2,
         metavar="N",
         help="analysis worker processes, sharded by network fingerprint "
-        "(default 2; 0 = run every sweep in-process, pre-PR-7 mode)",
+        "(default 2; 0 = run every sweep in-process)",
     )
     serve.add_argument(
         "--shards",
@@ -1092,13 +1071,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="N",
         help="shard count for the fingerprint → worker map "
         "(default 4 × workers; more shards = finer rebalance granularity)",
-    )
-    serve.add_argument(
-        "--frontend",
-        choices=("auto", "async", "thread"),
-        default="auto",
-        help="HTTP front-end: asyncio event loop or thread-per-request "
-        "(default auto: async when worker processes are enabled)",
     )
     serve.add_argument(
         "--job-threads",
@@ -1128,13 +1100,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="S",
         help="default per-job timeout in seconds (default: none)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="analysis worker processes per job (0/1 = serial)",
     )
     serve.add_argument(
         "--cache-dir",

@@ -74,7 +74,6 @@ class SelectiveHardening:
         hardenable: str = "all",
         damage_sites: str = "all",
         seed: int = 0,
-        jobs=None,
         cache_dir: Optional[str] = None,
         backend: str = "ir",
         chunk_lanes: int = 64,
@@ -104,7 +103,6 @@ class SelectiveHardening:
         self.hardenable = hardenable
         self.damage_sites = damage_sites
         self.seed = seed
-        self.jobs = jobs
         self.cache_dir = cache_dir
         self.backend = backend
         self.chunk_lanes = chunk_lanes
@@ -140,7 +138,6 @@ class SelectiveHardening:
                 tree=self.tree,
                 method=method,
                 policy=self.policy,
-                jobs=self.jobs,
                 cache_dir=self.cache_dir,
                 backend=self.backend,
                 chunk_lanes=self.chunk_lanes,

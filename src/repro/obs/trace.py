@@ -1,8 +1,9 @@
 """Context-propagated tracing: nested spans from HTTP request to bitset sweep.
 
 The stack spans four layers (service -> jobs -> engine -> batch kernel)
-and three kinds of execution boundary: HTTP handler threads, the job
-queue's worker/attempt threads, and ``ProcessPoolExecutor`` workers.
+and three kinds of execution boundary: the HTTP front-end's executor
+threads, the job queue's worker/attempt threads, and the service's
+shard worker processes.
 This module is the dependency-free substrate that attributes wall time
 across all of them:
 

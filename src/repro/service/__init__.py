@@ -7,9 +7,9 @@ into shared bitset-kernel passes (:mod:`batching`) and executed on a
 sharded pool of worker *processes* keyed by IR fingerprint
 (:mod:`workers` — shared-memory kernel shipping, consistent-hash
 rebalance on crash), and everything is observable over
-Prometheus-format metrics (:mod:`metrics`).  Two interchangeable HTTP
-front-ends sit on top: the thread-per-request :mod:`server` and the
-event-loop :mod:`aserver`; both are stdlib-only, as is the retrying
+Prometheus-format metrics (:mod:`metrics`).  :mod:`server` holds the
+:class:`AnalysisService` facade; the event-loop HTTP front-end of
+:mod:`aserver` sits on top.  Both are stdlib-only, as is the retrying
 :mod:`client`.
 
 Start it with ``repro-rsn serve``; drive it with ``repro-rsn submit``,
@@ -27,8 +27,6 @@ from .server import (
     DEFAULT_PORT,
     AnalysisService,
     NotFoundError,
-    make_server,
-    serve,
 )
 from .workers import (
     PoolClosedError,
@@ -62,7 +60,5 @@ __all__ = [
     "TransientJobError",
     "WorkerCrashError",
     "WorkerPool",
-    "make_server",
-    "serve",
     "serve_async",
 ]

@@ -1,26 +1,26 @@
-"""Asyncio front-end for the analysis service.
+"""Asyncio HTTP front-end for the analysis service — the only one.
 
-The threaded HTTP server (PR 4) spends one OS thread per in-flight
-request — fine for tens of clients, but at ~1k concurrent `/damage`
-callers a thousand parked threads contend for the GIL just to sit in
-``future.result()``.  This front-end replaces the thread-per-request
-model with a single event loop: requests are parsed and validated on the
-loop, CPU-bound work goes to the sharded worker-process pool
-(:mod:`repro.service.workers`) through the coalescer, and the handler
-coroutine merely *awaits* the resulting future.  A thousand concurrent
-requests are a thousand coroutines, not a thousand threads.
+A single event loop serves every request: requests are parsed and
+validated on the loop, CPU-bound work goes through the coalescer either
+to the sharded worker-process pool (:mod:`repro.service.workers`) or,
+with ``shard_workers=0``, to the in-process kernel on the coalescer's
+dispatcher thread, and the handler coroutine merely *awaits* the
+resulting future.  A thousand concurrent requests are a thousand
+coroutines, not a thousand threads.
 
-The route table, JSON shapes, error mapping, metrics and trace-id
-protocol are identical to :class:`repro.service.server._ServiceHandler`
-— the two front-ends are interchangeable on the wire, and every byte of
-a `/damage` response is the same (asserted in ``tests/service``).
-Blocking service calls that are not future-shaped (uploads interning a
-network, job submission) run in the loop's default thread-pool executor
-so the loop never stalls behind them.
+The route table is documented in :mod:`repro.service.server`.  Errors
+map to JSON bodies: unknown routes and resources are 404, malformed
+JSON or payloads 400, and a timed-out `/damage` query 408, each body
+carrying the request's trace id.  A malformed request head (bad request
+line, bad ``Content-Length``, a line over the stream limit) is answered
+with a 400 before any routing and closes the connection.  Blocking service calls that are not future-shaped
+(uploads interning a network, job submission, profiling) run in the
+loop's default thread-pool executor so the loop never stalls behind
+them.
 
-Use :func:`serve_async` as the entry point (the CLI's
-``serve --frontend async``), or :class:`AsyncServerThread` to host one
-on a private event-loop thread inside tests and benchmarks.
+Use :func:`serve_async` as the entry point (the CLI's ``serve``), or
+:class:`AsyncServerThread` to host one on a private event-loop thread
+inside tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class AsyncServiceServer:
 
     async def _read_request(self, reader):
         """One parsed request, or ``None`` on a cleanly closed socket."""
-        request_line = await reader.readline()
+        request_line = await self._read_line(reader)
         if not request_line:
             return None
         try:
@@ -178,7 +178,7 @@ class AsyncServiceServer:
             raise _BadRequest("malformed request line") from None
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if not line:
                 return None
             if line in (b"\r\n", b"\n"):
@@ -187,13 +187,28 @@ class AsyncServiceServer:
                 raise _BadRequest("too many headers")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
+        raw_length = headers.get("content-length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise _BadRequest(
+                f"invalid Content-Length {raw_length!r}"
+            ) from None
         if length < 0 or length > _MAX_BODY:
             raise _BadRequest(f"invalid Content-Length {length}")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, version, headers, body
 
-    # -- routing (mirrors the threaded handler byte-for-byte) ------------
+    @staticmethod
+    async def _read_line(reader) -> bytes:
+        """``reader.readline()``; a line over the stream limit (64 KiB)
+        is malformed HTTP, not a dropped connection."""
+        try:
+            return await reader.readline()
+        except (ValueError, asyncio.LimitOverrunError):
+            raise _BadRequest("request line or header too long") from None
+
+    # -- routing ----------------------------------------------------------
     async def _route(self, method, target, headers, body):
         started = time.perf_counter()
         raw_path, _, raw_query = target.partition("?")
@@ -440,8 +455,7 @@ class AsyncServerThread:
     Tests and benchmarks need the async front-end alongside a live
     client in the same process; this wraps the loop bookkeeping:
     construction binds and serves, :meth:`stop` tears the listener and
-    loop down (the service is left to the caller, matching how tests
-    drive the threaded server).
+    loop down (the service is left to the caller).
     """
 
     def __init__(

@@ -369,7 +369,6 @@ def _worker_main(worker_id: int, work_q, result_q) -> None:
                             _spec_of(fp, seed),
                             method=params.get("method", "fast"),
                             policy=params.get("policy", "max"),
-                            jobs=0,
                             cache_dir=params.get("cache_dir"),
                             backend=params.get("backend", "ir"),
                             chunk_lanes=params.get("chunk_lanes", 64),

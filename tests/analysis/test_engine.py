@@ -1,12 +1,11 @@
-"""The parallel + cached criticality engine.
+"""The cached criticality engine.
 
 Contracts under test:
 
-* the engine (serial and parallel) is bit-identical to
-  :func:`repro.analysis.analyze_damage` for every method / site filter;
+* the engine is bit-identical to :func:`repro.analysis.analyze_damage`
+  for every method / site filter;
 * the disk cache round-trips reports and is invalidated by any change to
   the network, the spec, the policy/sites/method or the analysis version;
-* an unavailable worker pool degrades gracefully to the serial path;
 * the stats instrumentation reports what actually happened.
 """
 
@@ -39,7 +38,7 @@ def _setup(design, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# serial / parallel parity
+# parity with the reference analysis
 # ---------------------------------------------------------------------------
 class TestParity:
     @pytest.mark.parametrize("design", PARITY_DESIGNS)
@@ -51,26 +50,11 @@ class TestParity:
         assert report.unit_damage == reference.unit_damage
         assert report.total == reference.total
 
-    @pytest.mark.parametrize("design", PARITY_DESIGNS)
-    def test_parallel_engine_bit_identical(self, design):
-        network, spec = _setup(design)
-        serial = CriticalityEngine(network, spec).report()
-        engine = CriticalityEngine(
-            network, spec, jobs=2, min_parallel_primitives=1
-        )
-        parallel = engine.report()
-        assert engine.stats.workers == 2
-        assert engine.stats.parallel_fallback is None
-        assert parallel.primitive_damage == serial.primitive_damage
-        assert parallel.unit_damage == serial.unit_damage
-
     @pytest.mark.parametrize("sites", ["all", "control", "mux"])
     def test_site_filters_match_reference(self, sites):
         network, spec = _setup("q12710")
         reference = analyze_damage(network, spec, sites=sites)
-        engine = CriticalityEngine(
-            network, spec, jobs=2, min_parallel_primitives=1
-        )
+        engine = CriticalityEngine(network, spec)
         assert (
             engine.report(sites=sites).primitive_damage
             == reference.primitive_damage
@@ -189,102 +173,6 @@ class TestDiskCache:
 
 
 # ---------------------------------------------------------------------------
-# spawn-mode worker payload
-# ---------------------------------------------------------------------------
-class TestSpawnPayload:
-    """The spawn fallback ships the compiled IR, not the dict network,
-    and workers rebuilt from it reproduce the serial damages exactly."""
-
-    def test_payload_carries_compiled_ir(self):
-        import pickle
-
-        from repro.ir import CompiledNetwork, intern
-        from repro.rsn.network import RsnNetwork
-
-        network, spec = _setup("q12710")
-        payload = engine_mod._spawn_payload(
-            intern(network), spec, "fast", "max"
-        )
-        ir, spec_out, method, policy, backend, chunk_lanes = (
-            pickle.loads(payload)
-        )
-        assert isinstance(ir, CompiledNetwork)
-        assert not isinstance(ir, RsnNetwork)
-        assert ir.fingerprint == intern(network).fingerprint
-        assert (method, policy) == ("fast", "max")
-        assert (backend, chunk_lanes) == ("ir", 64)
-        assert spec_out.to_dict() == spec.to_dict()
-        # the IR payload is the smaller wire format
-        dict_payload = pickle.dumps((network, spec, "fast", "max"))
-        assert len(payload) < len(dict_payload)
-
-    @pytest.mark.parametrize("method", ["fast", "explicit", "graph"])
-    def test_spawn_worker_reproduces_serial_damages(self, method):
-        from repro.ir import intern
-
-        network, spec = _setup("TreeFlat")
-        serial = CriticalityEngine(network, spec, method=method).report()
-        payload = engine_mod._spawn_payload(
-            intern(network), spec, method, "max"
-        )
-        previous = engine_mod._WORKER_ANALYSIS
-        try:
-            engine_mod._worker_init(payload)
-            names = list(serial.primitive_damage)
-            _, _, _, damages, spans = engine_mod._worker_chunk(names)
-            assert spans == []  # no carrier shipped: no span payloads
-        finally:
-            engine_mod._WORKER_ANALYSIS = previous
-        assert dict(zip(names, damages)) == serial.primitive_damage
-
-
-# ---------------------------------------------------------------------------
-# graceful degradation
-# ---------------------------------------------------------------------------
-class TestDegradation:
-    def test_pool_unavailable_falls_back_to_serial(self, monkeypatch):
-        network, spec = _setup("q12710")
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no process pool on this host")
-
-        monkeypatch.setattr(engine_mod, "_EXECUTOR_FACTORY", broken_pool)
-        engine = CriticalityEngine(
-            network, spec, jobs=4, min_parallel_primitives=1
-        )
-        report = engine.report()
-        assert engine.stats.parallel_fallback is not None
-        assert "no process pool" in engine.stats.parallel_fallback
-        assert engine.stats.workers == 0
-        assert (
-            report.primitive_damage
-            == analyze_damage(network, spec).primitive_damage
-        )
-
-    def test_small_network_skips_the_pool(self):
-        network, spec = _setup("TreeFlat")
-        engine = CriticalityEngine(
-            network, spec, jobs=2, min_parallel_primitives=10_000
-        )
-        report = engine.report()
-        assert engine.stats.workers == 0
-        assert "too small" in engine.stats.parallel_fallback
-        assert report.total == analyze_damage(network, spec).total
-
-    def test_serial_jobs_values(self):
-        network, spec = _setup("TreeFlat")
-        for jobs in (None, 0, 1):
-            engine = CriticalityEngine(network, spec, jobs=jobs)
-            engine.report()
-            assert engine.stats.workers == 0
-
-    def test_negative_jobs_rejected(self):
-        network, spec = _setup("TreeFlat")
-        with pytest.raises(ReproError):
-            CriticalityEngine(network, spec, jobs=-2)
-
-
-# ---------------------------------------------------------------------------
 # instrumentation
 # ---------------------------------------------------------------------------
 class TestStats:
@@ -303,19 +191,6 @@ class TestStats:
         assert stats.memo["range_misses"] > 0
         assert stats.memo_hit_rate > 0
         assert "faults/s" in stats.format()
-
-    def test_parallel_stats_record_pool(self):
-        network, spec = _setup("MBIST_1_5_5")
-        engine = CriticalityEngine(
-            network, spec, jobs=2, min_parallel_primitives=1
-        )
-        engine.report()
-        stats = engine.stats
-        assert stats.workers == 2
-        assert stats.chunks >= 2
-        assert stats.distinct_workers >= 1
-        assert 0.0 <= stats.worker_utilization <= 1.0
-        assert "workers" in stats.format()
 
     def test_stats_as_dict_is_json_safe(self):
         network, spec = _setup("TreeFlat")
@@ -366,7 +241,6 @@ class TestCumulativeStats:
         payload = json.loads(json.dumps(engine.cumulative.as_dict()))
         assert payload["reports"] == 1
         assert payload["cache_hits"] == 0
-        assert payload["parallel_fallbacks"] == 0
 
     def test_fresh_engine_starts_at_zero(self):
         network, spec = _setup("TreeFlat")

@@ -3,12 +3,14 @@
 The headline acceptance test lives here: ~1k concurrent ``/damage``
 requests across four networks, answered by worker processes through the
 coalescer, must be bit-identical to direct in-process
-:class:`GraphDamageAnalysis`.  Also: wire-protocol parity with the
-threaded front-end (routes, errors, trace headers) and the pool section
-of ``/healthz``.
+:class:`GraphDamageAnalysis`.  Also: the wire protocol (routes, errors,
+trace headers), 400 answers to malformed request heads sent over a raw
+socket, and the pool section of ``/healthz``.
 """
 
+import json
 import random
+import socket
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
@@ -111,6 +113,29 @@ class TestConcurrentDamageParity:
         assert "repro_shard_queue_depth" in text
 
 
+def _raw_exchange(port, data):
+    """Send raw bytes, return (status, body) of the one response."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        received = b""
+        while b"\r\n\r\n" not in received:
+            chunk = sock.recv(65536)
+            assert chunk, f"connection closed without a response: {received!r}"
+            received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        length = next(
+            int(line.split(":", 1)[1])
+            for line in lines
+            if line.lower().startswith("content-length:")
+        )
+        while len(body) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed mid-body"
+            body += chunk
+    return int(lines[0].split()[1]), body[:length]
+
+
 class TestWireProtocol:
     def test_healthz_reports_pool_topology(self, stack):
         body = ServiceClient(stack["server"].url).healthz()
@@ -142,6 +167,30 @@ class TestWireProtocol:
         with pytest.raises(ServiceClientError) as info:
             client.damage("not-a-fingerprint", [], seed=0)
         assert info.value.status in (400, 404)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /damage HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /damage HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Long: "
+            + b"a" * (70 * 1024)
+            + b"\r\n\r\n",
+            b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=[
+            "non-numeric-length",
+            "negative-length",
+            "long-header",
+            "long-request-line",
+        ],
+    )
+    def test_malformed_head_is_400(self, stack, head):
+        status, body = _raw_exchange(stack["server"].port, head)
+        assert status == 400
+        assert "error" in json.loads(body)
+        # The bad connection is closed; the server keeps serving.
+        assert ServiceClient(stack["server"].url).healthz()["status"]
 
     def test_trace_id_round_trips(self, stack):
         designs = stack["designs"]

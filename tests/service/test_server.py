@@ -14,13 +14,17 @@ import time
 import pytest
 
 from repro.analysis import GraphDamageAnalysis
-from repro.analysis.faults import iter_all_faults
+from repro.analysis.faults import fault_to_dict, iter_all_faults
 from repro.bench import build_design
 from repro.ir import intern
 from repro.rsn import icl
 from repro.rsn.ast import decl_to_dict
 from repro.bench.designs import get_design
-from repro.service import AnalysisService, ServiceClient, make_server
+from repro.service import (
+    AnalysisService,
+    AsyncServerThread,
+    ServiceClient,
+)
 from repro.service.client import ServiceClientError
 from repro.spec import spec_for_network
 
@@ -30,6 +34,7 @@ def service(tmp_path_factory):
     svc = AnalysisService(
         cache_dir=str(tmp_path_factory.mktemp("service-cache")),
         workers=2,
+        shard_workers=0,
         batch_window=0.05,
     )
     yield svc
@@ -38,18 +43,9 @@ def service(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def client(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        kwargs={"poll_interval": 0.05},
-        daemon=True,
-    )
-    thread.start()
-    host, port = server.server_address[:2]
-    yield ServiceClient(f"http://{host}:{port}", timeout=120.0)
-    server.shutdown()
-    thread.join(timeout=10.0)
-    server.server_close()
+    server = AsyncServerThread(service, host="127.0.0.1", port=0)
+    yield ServiceClient(server.url, timeout=120.0)
+    server.stop()
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +164,24 @@ def test_multi_fault_damage_matches_direct_vector(client, fingerprint):
     faults = list(iter_all_faults(network))[:7]
     damages = client.damage(fingerprint, faults)
     assert damages == [graph.damage_of_fault(f) for f in faults]
+
+
+def test_damage_timeout_is_408(client, fingerprint):
+    """A query that outlives its ``timeout`` (here: shorter than the
+    50 ms batching window) gets a 408 with the JSON error body."""
+    fault = next(iter_all_faults(build_design("TreeFlat")))
+    with pytest.raises(ServiceClientError) as excinfo:
+        client._request(
+            "POST",
+            "/damage",
+            {
+                "fingerprint": fingerprint,
+                "faults": [fault_to_dict(fault)],
+                "timeout": 0.001,
+            },
+        )
+    assert excinfo.value.status == 408
+    assert "timed out" in str(excinfo.value)
 
 
 def test_analyze_job_parity_and_second_run_is_cache_hit(

@@ -17,7 +17,11 @@ import pytest
 from repro.analysis.faults import iter_all_faults
 from repro.bench import build_design
 from repro.obs.trace import current_context, enable_tracing, root_span
-from repro.service import AnalysisService, ServiceClient, make_server
+from repro.service import (
+    AnalysisService,
+    AsyncServerThread,
+    ServiceClient,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,18 +42,9 @@ def service():
 
 @pytest.fixture(scope="module")
 def client(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        kwargs={"poll_interval": 0.05},
-        daemon=True,
-    )
-    thread.start()
-    host, port = server.server_address[:2]
-    yield ServiceClient(f"http://{host}:{port}", timeout=120.0)
-    server.shutdown()
-    thread.join(timeout=10.0)
-    server.server_close()
+    server = AsyncServerThread(service, host="127.0.0.1", port=0)
+    yield ServiceClient(server.url, timeout=120.0)
+    server.stop()
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ the same ``X-Trace-Id`` the response echoed.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -18,7 +17,11 @@ from repro.analysis.faults import iter_all_faults
 from repro.bench import build_design
 from repro.ir import IR_VERSION
 from repro.obs import disable_tracing
-from repro.service import AnalysisService, ServiceClient, make_server
+from repro.service import (
+    AnalysisService,
+    AsyncServerThread,
+    ServiceClient,
+)
 from repro.service.client import ServiceClientError
 
 
@@ -27,6 +30,7 @@ def service(tmp_path_factory):
     svc = AnalysisService(
         cache_dir=str(tmp_path_factory.mktemp("tracing-cache")),
         workers=2,
+        shard_workers=0,
         batch_window=0.02,
         tracing=True,
     )
@@ -37,18 +41,9 @@ def service(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def client(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        kwargs={"poll_interval": 0.05},
-        daemon=True,
-    )
-    thread.start()
-    host, port = server.server_address[:2]
-    yield ServiceClient(f"http://{host}:{port}", timeout=120.0)
-    server.shutdown()
-    thread.join(timeout=10.0)
-    server.server_close()
+    server = AsyncServerThread(service, host="127.0.0.1", port=0)
+    yield ServiceClient(server.url, timeout=120.0)
+    server.stop()
 
 
 @pytest.fixture(scope="module")
@@ -157,15 +152,8 @@ class TestTracingDisabledService:
         svc = AnalysisService(
             cache_dir=str(tmp_path / "cache"), workers=1, tracing=False
         )
-        server = make_server(svc, port=0)
-        thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        thread.start()
-        host, port = server.server_address[:2]
-        plain = ServiceClient(f"http://{host}:{port}", timeout=30.0)
+        server = AsyncServerThread(svc, host="127.0.0.1", port=0)
+        plain = ServiceClient(server.url, timeout=30.0)
         try:
             plain.healthz()
             assert plain.last_trace_id  # ids are assigned regardless
@@ -173,9 +161,7 @@ class TestTracingDisabledService:
                 plain.trace(plain.last_trace_id)
             assert excinfo.value.status == 404
         finally:
-            server.shutdown()
-            thread.join(timeout=10.0)
-            server.server_close()
+            server.stop()
             svc.close(drain=False, timeout=10.0)
             if saved is not None:
                 enable_tracing(saved)

@@ -163,13 +163,6 @@ class TestEngineCli:
             == second.split("engine stats")[0]
         )
 
-    def test_analyze_parallel_jobs(self, capsys):
-        assert main(
-            ["analyze", "q12710", "--no-cache", "--jobs", "2", "--stats"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "workers        : 2" in out
-
     def test_analyze_explicit_method(self, capsys):
         assert main(
             ["analyze", "TreeFlat", "--no-cache", "--method", "explicit"]
@@ -285,22 +278,17 @@ class TestCampaign:
 class TestTop:
     @pytest.fixture()
     def live_url(self):
-        import threading
+        from repro.service import AnalysisService, AsyncServerThread
 
-        from repro.service import AnalysisService, make_server
-
-        service = AnalysisService(no_cache=True, history_interval=0.05)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
+        service = AnalysisService(
+            no_cache=True, shard_workers=0, history_interval=0.05
+        )
+        server = AsyncServerThread(service, host="127.0.0.1", port=0)
         # let the sampler tick at least once so the frame has data
         service.history.sample_once()
-        yield f"http://{host}:{port}"
+        yield server.url
         service.close(drain=False, timeout=10.0)
-        server.shutdown()
-        thread.join(timeout=10.0)
-        server.server_close()
+        server.stop()
 
     def test_once_renders_single_frame(self, live_url, capsys):
         assert main(["top", "--once", "--url", live_url]) == 0
@@ -351,11 +339,11 @@ class TestServeTelemetryFlags:
             captured.update(kwargs)
             return 0
 
-        monkeypatch.setattr(service_module, "serve", fake_serve)
+        monkeypatch.setattr(service_module, "serve_async", fake_serve)
         assert (
             main(
                 [
-                    "serve", "--frontend", "thread",
+                    "serve",
                     "--history-interval", "0.25",
                     "--history-window", "64",
                     "--log-level", "warning",
@@ -376,3 +364,71 @@ class TestServeTelemetryFlags:
             main(["serve", "--history-window", "0"])
         with pytest.raises(SystemExit):
             main(["serve", "--log-level", "verbose"])
+
+
+class TestServeInProcess:
+    def test_workers_zero_serves_damage_on_the_async_frontend(
+        self, tmp_path
+    ):
+        """``serve --workers 0`` runs the asyncio front-end in-process and
+        answers ``/damage`` with the in-process bitset vector."""
+        import os
+        import subprocess
+        import sys
+        import time
+
+        from repro.analysis import GraphDamageAnalysis
+        from repro.analysis.faults import iter_all_faults
+        from repro.bench import build_design
+        from repro.service import ServiceClient
+        from repro.spec import spec_for_network
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        log_path = tmp_path / "serve.log"
+        with open(log_path, "w", encoding="utf-8") as log:
+            process = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "serve",
+                    "--workers", "0", "--port", "0", "--no-cache",
+                ],
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                stderr=log,
+                env=env,
+            )
+        try:
+            ready = None
+            deadline = time.monotonic() + 60.0
+            while ready is None and time.monotonic() < deadline:
+                assert process.poll() is None, log_path.read_text()
+                for line in log_path.read_text().splitlines():
+                    if "service listening" in line:
+                        ready = line
+                time.sleep(0.05)
+            assert ready is not None, log_path.read_text()
+            assert "frontend=async" in ready
+            assert "shard_workers=0" in ready
+            url = ready.split("url=", 1)[1].split()[0]
+
+            network = build_design("TreeFlat")
+            faults = list(iter_all_faults(network))
+            direct = GraphDamageAnalysis(
+                network, spec_for_network(network, seed=0), backend="bitset"
+            ).damage_vector(faults)
+            client = ServiceClient(url, timeout=60.0)
+            fingerprint = client.upload_network(design="TreeFlat")[
+                "fingerprint"
+            ]
+            got = client.damage(fingerprint, faults, seed=0)
+            assert got == [float(d) for d in direct]
+        finally:
+            process.terminate()
+            try:
+                process.wait(timeout=30.0)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait(timeout=30.0)
